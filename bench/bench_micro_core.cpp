@@ -58,13 +58,13 @@ BENCHMARK(BM_SendSetSeeding)->Arg(2)->Arg(5)->Arg(10);
 
 void BM_WireSerializeRoundTrip(benchmark::State& state) {
   core::PayloadArena arena;
-  core::StageMessage msg{0, 1, {}};
+  std::vector<core::Submessage> subs;
   const std::vector<std::byte> payload(static_cast<std::size_t>(state.range(0)));
   for (int i = 0; i < 64; ++i)
-    msg.subs.push_back(core::Submessage{i, i + 1, arena.add(payload),
-                                        static_cast<std::uint32_t>(payload.size())});
+    subs.push_back(core::Submessage{i, i + 1, arena.add(payload),
+                                    static_cast<std::uint32_t>(payload.size())});
   for (auto _ : state) {
-    const auto wire = core::serialize(msg, arena);
+    const auto wire = core::serialize(subs, arena);
     core::PayloadArena scratch;
     benchmark::DoNotOptimize(core::deserialize(wire, scratch));
   }
@@ -74,16 +74,23 @@ void BM_WireSerializeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_WireSerializeRoundTrip)->Arg(16)->Arg(256)->Arg(4096);
 
-void BM_SimulateExchange(benchmark::State& state) {
-  const auto K = static_cast<Rank>(state.range(0));
-  const int dim = static_cast<int>(state.range(1));
+// 16 messages of 64 bytes from every rank to seeded random destinations.
+sim::CommPattern random_pattern(Rank K) {
   std::mt19937_64 rng(3);
   std::uniform_int_distribution<Rank> pick(0, K - 1);
   sim::CommPattern pattern(K);
   for (Rank r = 0; r < K; ++r)
     for (int j = 0; j < 16; ++j) pattern.add_send(r, pick(rng), 64);
   pattern.finalize();
-  const Vpt vpt = dim <= 1 ? Vpt::direct(K) : Vpt::balanced(K, dim);
+  return pattern;
+}
+
+Vpt vpt_of(Rank K, int dim) { return dim <= 1 ? Vpt::direct(K) : Vpt::balanced(K, dim); }
+
+void BM_SimulateExchange(benchmark::State& state) {
+  const auto K = static_cast<Rank>(state.range(0));
+  const sim::CommPattern pattern = random_pattern(K);
+  const Vpt vpt = vpt_of(K, static_cast<int>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::simulate_exchange(vpt, pattern));
   }
@@ -94,6 +101,28 @@ BENCHMARK(BM_SimulateExchange)
     ->Args({1024, 2})
     ->Args({1024, 5})
     ->Args({1024, 10})
+    ->Args({8192, 4});
+
+// As above with one SimScratch reused across calls — the path of the sweep
+// benches and perfbench's sim workload, which pool one scratch per VPT.
+void BM_SimulateExchangePooled(benchmark::State& state) {
+  const auto K = static_cast<Rank>(state.range(0));
+  const sim::CommPattern pattern = random_pattern(K);
+  const Vpt vpt = vpt_of(K, static_cast<int>(state.range(1)));
+  sim::SimScratch scratch;
+  sim::SimOptions opts;
+  opts.scratch = &scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::simulate_exchange(vpt, pattern, opts));
+  }
+  state.SetItemsProcessed(state.iterations() * pattern.total_messages());
+}
+BENCHMARK(BM_SimulateExchangePooled)
+    ->Args({1024, 1})
+    ->Args({1024, 2})
+    ->Args({1024, 5})
+    ->Args({1024, 10})
+    ->Args({4096, 12})
     ->Args({8192, 4});
 
 }  // namespace

@@ -60,8 +60,34 @@ private:
   std::vector<std::byte> bytes_;
 };
 
-/// A coalesced stage message: all submessages a process sends to one
-/// dimension-d neighbor in one stage (the paper's M_ij).
+/// One coalesced stage message inside a StageOutbox: the submessages
+/// subs[begin, end) go to neighbor `to` (the paper's M_ij).
+struct OutboxRun {
+  Rank to = -1;
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  std::uint64_t payload_bytes = 0;
+};
+
+/// The coalesced stage messages of one stage, stored flat: one contiguous
+/// submessage array and one run per message. StfwRankState appends runs in
+/// ascending neighbor order; the simulator appends every rank's outbox to
+/// one StageOutbox per stage.
+struct StageOutbox {
+  std::vector<Submessage> subs;
+  std::vector<OutboxRun> runs;
+
+  std::span<const Submessage> subs_of(const OutboxRun& run) const noexcept {
+    return std::span<const Submessage>(subs.data() + run.begin, run.end - run.begin);
+  }
+  void clear() noexcept {
+    subs.clear();
+    runs.clear();
+  }
+};
+
+/// An owned coalesced message, for the resilient exchange's frames (which
+/// are tracked, retransmitted and re-routed one by one).
 struct StageMessage {
   Rank from = -1;
   Rank to = -1;

@@ -52,35 +52,37 @@ void StfwRankState::stash(int stage_from, const Submessage& s) {
 }
 
 void StfwRankState::stash_into(int d, const Submessage& s) {
-  const int x = vpt_->coord(s.dest, d);
-  fwbuf_[static_cast<std::size_t>(d)][x].push_back(s);
+  auto& buf = fwbuf_[static_cast<std::size_t>(d)];
+  const auto digit = static_cast<std::uint64_t>(vpt_->coord(s.dest, d));
+  buf.push_back(Parked{digit << 32 | buf.size(), s});
   buffered_bytes_ += s.size_bytes;
   ++buffered_count_;
   peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
 }
 
-void StfwRankState::make_stage_outbox(int stage, std::vector<StageMessage>& out) {
+void StfwRankState::make_stage_outbox(int stage, StageOutbox& out) {
   require(stage == stages_consumed_, "make_stage_outbox: stages must run in order");
   require(stage < vpt_->dim(), "make_stage_outbox: stage out of range");
-  auto& slots = fwbuf_[static_cast<std::size_t>(stage)];
-  const int mine = vpt_->coord(me_, stage);
-  // Deterministic neighbor order regardless of hash-map iteration order.
-  std::vector<int> coords;
-  coords.reserve(slots.size());
-  for (const auto& [x, slot] : slots)
-    if (!slot.empty()) coords.push_back(x);
-  std::sort(coords.begin(), coords.end());
-  for (int x : coords) {
-    STFW_ASSERT(x != mine, "make_stage_outbox: own-coordinate slot must stay empty");
-    StageMessage m;
-    m.from = me_;
-    m.to = vpt_->with_coord(me_, stage, x);
-    m.subs = std::move(slots[x]);
-    buffered_bytes_ -= m.payload_bytes();
-    buffered_count_ -= m.subs.size();
-    out.push_back(std::move(m));
+  auto& buf = fwbuf_[static_cast<std::size_t>(stage)];
+  const auto by_key = [](const Parked& a, const Parked& b) { return a.key < b.key; };
+  if (!std::is_sorted(buf.begin(), buf.end(), by_key)) std::sort(buf.begin(), buf.end(), by_key);
+  const auto mine = static_cast<std::uint64_t>(vpt_->coord(me_, stage));
+  for (std::size_t i = 0; i < buf.size();) {
+    const std::uint64_t digit = buf[i].key >> 32;
+    STFW_ASSERT(digit != mine, "make_stage_outbox: own-coordinate slot must stay empty");
+    OutboxRun run;
+    run.to = vpt_->with_coord(me_, stage, static_cast<int>(digit));
+    run.begin = static_cast<std::uint32_t>(out.subs.size());
+    for (; i < buf.size() && buf[i].key >> 32 == digit; ++i) {
+      out.subs.push_back(buf[i].sub);
+      run.payload_bytes += buf[i].sub.size_bytes;
+    }
+    run.end = static_cast<std::uint32_t>(out.subs.size());
+    buffered_bytes_ -= run.payload_bytes;
+    buffered_count_ -= run.end - run.begin;
+    out.runs.push_back(run);
   }
-  slots.clear();
+  std::vector<Parked>().swap(buf);
   ++stages_consumed_;
 }
 

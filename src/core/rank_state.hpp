@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "message.hpp"
@@ -46,11 +46,13 @@ public:
   void add_send_routed(Rank dest, int first_dim, std::uint64_t payload_offset,
                        std::uint32_t payload_bytes, std::uint32_t id = 0);
 
-  /// Algorithm 1 lines 9-12: move the non-empty dimension-d buffers out as
-  /// coalesced messages, one per neighbor coordinate. Buffers for stage d
-  /// are consumed by this call; routing guarantees nothing is scattered
-  /// into them afterwards (asserted). Appends to `out`.
-  void make_stage_outbox(int stage, std::vector<StageMessage>& out);
+  /// Algorithm 1 lines 9-12: move the dimension-`stage` buffer out as
+  /// coalesced messages, one run per neighbor, in ascending neighbor order;
+  /// within a run submessages keep their arrival order. The buffer is
+  /// consumed (and its storage released) by this call; routing guarantees
+  /// nothing is scattered into it afterwards (asserted). Appends to `out`,
+  /// whose run indices refer to out.subs.
+  void make_stage_outbox(int stage, StageOutbox& out);
 
   /// Algorithm 1 lines 14-17: scatter submessages received in `stage` into
   /// the buffers of the first dimension > stage where we differ from the
@@ -83,15 +85,26 @@ private:
   void stash(int stage_from, const Submessage& s);
   void stash_into(int d, const Submessage& s);
 
+  // A submessage parked for stage d. `key` is (digit d of its destination)
+  // << 32 | (its arrival index in the buffer): sorting a buffer by key
+  // groups it by neighbor in digit order and keeps arrival order within
+  // each neighbor, so the sort is stable without a merge buffer.
+  struct Parked {
+    std::uint64_t key;
+    Submessage sub;
+  };
+
   const Vpt* vpt_;
   Rank me_;
   int stages_consumed_ = 0;  // buffers for stages < this are gone
-  // fwbuf_[d][x]: submessages to forward in stage d to the neighbor whose
-  // digit d is x; slot x == our own digit d is unused (self-routing is
-  // resolved at delivery). Slots are stored sparsely — a dimension of size
-  // k_d would otherwise cost k_d empty vectors per rank, which is O(K^2)
-  // across ranks for the direct topology at large K.
-  std::vector<std::unordered_map<int, std::vector<Submessage>>> fwbuf_;
+  // fwbuf_[d]: every submessage to forward in stage d, in arrival order —
+  // one flat vector per dimension, the neighbor being the key's digit (never
+  // our own digit d: self-routing is resolved at delivery). A flat buffer
+  // costs nothing for the k_d - 1 neighbors a rank does not talk to, which
+  // matters for the direct topology at large K. make_stage_outbox releases
+  // a stage's storage, so pooled states do not keep every stage's
+  // high-water capacity alive between exchanges.
+  std::vector<std::vector<Parked>> fwbuf_;
   std::vector<Submessage> delivered_;
   std::uint64_t buffered_bytes_ = 0;
   std::uint64_t buffered_count_ = 0;

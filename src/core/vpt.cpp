@@ -1,6 +1,7 @@
 #include "vpt.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "error.hpp"
@@ -33,6 +34,15 @@ Vpt::Vpt(std::vector<int> dim_sizes) : k_(std::move(dim_sizes)) {
   for (std::size_t d = 0; d < k_.size(); ++d) {
     stride_[d] = s;
     s *= k_[d];
+  }
+  pow2_ = std::all_of(k_.begin(), k_.end(), [](int kd) { return is_pow2(kd); });
+  if (pow2_) {
+    shift_.push_back(0);
+    for (std::size_t d = 0; d < k_.size(); ++d) {
+      const int bits = floor_log2(k_[d]);
+      bit_dim_.insert(bit_dim_.end(), static_cast<std::size_t>(bits), static_cast<int>(d));
+      shift_.push_back(shift_.back() + bits);
+    }
   }
 }
 
@@ -144,6 +154,13 @@ void Vpt::neighbors(Rank r, int d, std::vector<Rank>& out) const {
 int Vpt::first_diff_dim(Rank a, Rank b) const noexcept { return first_diff_dim_after(a, b, -1); }
 
 int Vpt::first_diff_dim_after(Rank a, Rank b, int d) const noexcept {
+  if (pow2_) {
+    // The lowest differing bit above digit d's field names the dimension.
+    const auto from = shift_[static_cast<std::size_t>(d + 1)];
+    const auto diff = static_cast<std::uint32_t>(a ^ b) >> from;
+    if (diff == 0) return -1;
+    return bit_dim_[static_cast<std::size_t>(from + std::countr_zero(diff))];
+  }
   for (int c = d + 1; c < dim(); ++c)
     if (coord(a, c) != coord(b, c)) return c;
   return -1;

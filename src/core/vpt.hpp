@@ -62,8 +62,9 @@ public:
 
   /// Digit d of rank r (0-based coordinate value in [0, k_d)).
   int coord(Rank r, int d) const noexcept {
-    return static_cast<int>((r / stride_[static_cast<std::size_t>(d)]) %
-                            k_[static_cast<std::size_t>(d)]);
+    const auto du = static_cast<std::size_t>(d);
+    if (pow2_) return static_cast<int>((r >> shift_[du]) & (k_[du] - 1));
+    return static_cast<int>((r / stride_[du]) % k_[du]);
   }
 
   /// Full coordinate vector of r, digit 0 first.
@@ -108,6 +109,13 @@ private:
   std::vector<int> k_;        // dimension sizes, digit 0 first
   std::vector<Rank> stride_;  // mixed-radix strides; stride_[0] == 1
   Rank size_ = 0;
+  // When every k_d is a power of two (balanced(), hypercube(), direct() of
+  // a power of two), digit d is the bit field [shift_[d], shift_[d + 1]) of
+  // the rank and bit_dim_[b] names the dimension owning bit b, so routing
+  // queries need no divisions. Both stay empty otherwise.
+  bool pow2_ = false;
+  std::vector<int> shift_;
+  std::vector<int> bit_dim_;
 };
 
 /// All multisets {k1,...,kn} with product K and every k >= 2, enumerated as

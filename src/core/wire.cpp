@@ -26,13 +26,19 @@ T get(std::span<const std::byte> in, std::size_t& pos) {
   return v;
 }
 
+std::uint64_t payload_of(std::span<const Submessage> subs) noexcept {
+  std::uint64_t b = 0;
+  for (const Submessage& s : subs) b += s.size_bytes;
+  return b;
+}
+
 }  // namespace
 
-std::vector<std::byte> serialize(const StageMessage& msg, const PayloadArena& arena) {
+std::vector<std::byte> serialize(std::span<const Submessage> subs, const PayloadArena& arena) {
   std::vector<std::byte> out;
-  out.reserve(wire_size_bytes(msg.subs.size(), msg.payload_bytes()));
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(msg.subs.size()));
-  for (const Submessage& s : msg.subs) {
+  out.reserve(wire_size_bytes(subs.size(), payload_of(subs)));
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(subs.size()));
+  for (const Submessage& s : subs) {
     put<std::int32_t>(out, s.source);
     put<std::int32_t>(out, s.dest);
     put<std::uint32_t>(out, s.size_bytes);
@@ -65,11 +71,12 @@ std::vector<Submessage> deserialize(std::span<const std::byte> wire, PayloadAren
   return subs;
 }
 
-std::vector<std::byte> serialize_tracked(const StageMessage& msg, const PayloadArena& arena) {
+std::vector<std::byte> serialize_tracked(std::span<const Submessage> subs,
+                                         const PayloadArena& arena) {
   std::vector<std::byte> out;
-  out.reserve(wire_size_bytes(msg.subs.size(), msg.payload_bytes()) + 4 * msg.subs.size());
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(msg.subs.size()));
-  for (const Submessage& s : msg.subs) {
+  out.reserve(wire_size_bytes(subs.size(), payload_of(subs)) + 4 * subs.size());
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(subs.size()));
+  for (const Submessage& s : subs) {
     put<std::int32_t>(out, s.source);
     put<std::int32_t>(out, s.dest);
     put<std::uint32_t>(out, s.id);

@@ -32,8 +32,9 @@ constexpr std::uint64_t wire_size_bytes(std::uint64_t count, std::uint64_t paylo
   return 4 + count * 12 + payload_bytes;
 }
 
-/// Serialize `msg`, pulling payload bytes from `arena`.
-std::vector<std::byte> serialize(const StageMessage& msg, const PayloadArena& arena);
+/// Serialize the stage message carrying `subs` (one StageOutbox run, or a
+/// StageMessage's subs), pulling payload bytes from `arena`.
+std::vector<std::byte> serialize(std::span<const Submessage> subs, const PayloadArena& arena);
 
 /// Parse a wire buffer; payloads are appended to `arena` and the returned
 /// submessages reference it. Throws Error on malformed input.
@@ -45,7 +46,8 @@ std::vector<Submessage> deserialize(std::span<const std::byte> wire, PayloadAren
 /// exchange uses these so final destinations can deduplicate a submessage
 /// that arrives both via store-and-forward and via the direct fallback; the
 /// plain exchange keeps the id-less paper format above.
-std::vector<std::byte> serialize_tracked(const StageMessage& msg, const PayloadArena& arena);
+std::vector<std::byte> serialize_tracked(std::span<const Submessage> subs,
+                                         const PayloadArena& arena);
 std::vector<Submessage> deserialize_tracked(std::span<const std::byte> wire, PayloadArena& arena);
 
 // --- resilient frame layer -------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <thread>
 
 #include "core/env.hpp"
 #include "core/error.hpp"
@@ -177,11 +176,12 @@ void Cluster::run(const std::function<void(Comm&)>& fn) {
 
   const bool need_monitor = watchdog_window_.count() > 0 || injector_ != nullptr;
   STFW_VERIFY_HOOK(region_begin(num_ranks_ + (need_monitor ? 1 : 0)));
+  MonitorNap nap;
   if (need_monitor) {
     monitor_stop_.store(false);
-    monitor_ = core::Thread([this] {
+    monitor_ = core::Thread([this, &nap] {
       STFW_VERIFY_HOOK(thread_begin(num_ranks_, /*ticker=*/true));
-      monitor_loop();
+      monitor_loop(nap);
       STFW_VERIFY_HOOK(thread_end());
     });
   }
@@ -211,7 +211,7 @@ void Cluster::run(const std::function<void(Comm&)>& fn) {
   for (auto& t : threads) t.join();
 
   if (need_monitor) {
-    monitor_stop_.store(true);
+    stop_monitor(nap);
     monitor_.join();
   }
   STFW_VERIFY_HOOK(region_end());
@@ -780,7 +780,7 @@ void Cluster::barrier_wait(int me, Deadline deadline) {
 
 // --- monitor thread: watchdog + delayed-message pump ------------------------
 
-void Cluster::monitor_loop() {
+void Cluster::monitor_loop(MonitorNap& nap) {
   std::uint32_t seen_epoch = membership_.epoch();
   while (!monitor_stop_.load()) {
     const auto now = verify::verify_now();
@@ -829,8 +829,28 @@ void Cluster::monitor_loop() {
       continue;
     }
 #endif
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto nap_end = std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+    MutexLock lock(nap.mu);
+    while (!monitor_stop_.load() &&
+           nap.cv.wait_until(lock, nap_end) == std::cv_status::no_timeout) {
+    }
   }
+}
+
+void Cluster::stop_monitor(MonitorNap& nap) {
+#if STFW_VERIFY_ENABLED
+  // Under the stfw-verify scheduler the monitor ticks instead of napping:
+  // nothing to wake, and the schedule trace stays free of these events.
+  if (verify::hooks() != nullptr) {
+    monitor_stop_.store(true);
+    return;
+  }
+#endif
+  {
+    MutexLock lock(nap.mu);
+    monitor_stop_.store(true);
+  }
+  nap.cv.notify_all();
 }
 
 void Cluster::check_deadlock(std::chrono::steady_clock::time_point now) {

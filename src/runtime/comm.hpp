@@ -322,7 +322,15 @@ private:
   /// know a teardown flag is set (lets TSA see the path as terminal).
   [[noreturn]] void throw_torn_down(int me, const char* op) STFW_EXCLUDES(block_mu_);
 
-  void monitor_loop();
+  // The monitor naps 1 ms between rounds on `cv`; stop_monitor() sets
+  // monitor_stop_ and signals it, so run() does not wait out the nap when
+  // it joins the monitor. Lives on run()'s stack, for one run.
+  struct MonitorNap {
+    core::Mutex mu;
+    core::CondVar cv;
+  };
+  void monitor_loop(MonitorNap& nap);
+  void stop_monitor(MonitorNap& nap);
   void check_deadlock(std::chrono::steady_clock::time_point now);
 
   int num_ranks_;

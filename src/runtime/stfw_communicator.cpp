@@ -78,13 +78,13 @@ std::vector<std::pair<core::Rank, std::uint32_t>> pattern_of(
 // Header-only wire format of the planning pass: u32 count, then per
 // submessage { i32 source, i32 dest, u32 len }. Only plan() traffic uses it
 // (a collective, so no other reader can see these frames).
-std::vector<std::byte> serialize_headers(const StageMessage& msg) {
-  std::vector<std::byte> out(4 + msg.subs.size() * 12);
+std::vector<std::byte> serialize_headers(std::span<const Submessage> subs) {
+  std::vector<std::byte> out(4 + subs.size() * 12);
   std::byte* p = out.data();
-  const auto count = static_cast<std::uint32_t>(msg.subs.size());
+  const auto count = static_cast<std::uint32_t>(subs.size());
   std::memcpy(p, &count, 4);
   p += 4;
-  for (const Submessage& s : msg.subs) {
+  for (const Submessage& s : subs) {
     std::memcpy(p, &s.source, 4);
     std::memcpy(p + 4, &s.dest, 4);
     std::memcpy(p + 8, &s.size_bytes, 4);
@@ -468,7 +468,7 @@ std::vector<InboundMessage> StfwCommunicator::exchange_unplanned(
     seed_bytes += s.bytes.size();
   }
 
-  std::vector<StageMessage> outbox;
+  core::StageOutbox outbox;
   std::vector<core::PayloadSrc> srcs;
   std::vector<int> nbrs;
   std::vector<bool> covered;
@@ -483,24 +483,25 @@ std::vector<InboundMessage> StfwCommunicator::exchange_unplanned(
     covered.assign(nbrs.size(), false);
     outbox.clear();
     state.make_stage_outbox(stage, outbox);
-    for (const StageMessage& m : outbox) {
+    for (const core::OutboxRun& run : outbox.runs) {
+      const std::span<const Submessage> subs = outbox.subs_of(run);
 #if STFW_VALIDATE_ENABLED
-      if (validator) validator->on_stage_send(stage, m);
+      if (validator) validator->on_stage_send(stage, run.to, subs);
 #endif
       if (recorder) {
         srcs.clear();
-        for (const Submessage& s : m.subs)
+        for (const Submessage& s : subs)
           srcs.push_back(s.size_bytes == 0 ? core::PayloadSrc{} : provenance.at(s.offset));
-        recorder->on_stage_send(stage, m.to, m.subs, srcs);
+        recorder->on_stage_send(stage, run.to, subs, srcs);
       }
-      auto wire = core::serialize(m, arena);
+      auto wire = core::serialize(subs, arena);
       ++stats_.messages_sent;
-      stats_.payload_bytes_sent += m.payload_bytes();
+      stats_.payload_bytes_sent += run.payload_bytes;
       stats_.wire_bytes_sent += wire.size();
-      const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(m.to));
-      if (ni != nbrs.end() && *ni == static_cast<int>(m.to))
+      const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(run.to));
+      if (ni != nbrs.end() && *ni == static_cast<int>(run.to))
         covered[static_cast<std::size_t>(ni - nbrs.begin())] = true;
-      comm_->send(static_cast<int>(m.to), tag, std::move(wire));
+      comm_->send(static_cast<int>(run.to), tag, std::move(wire));
     }
     send_stage_fillers(stage, tag, nbrs, covered, /*count_stats=*/true);
     if (stage == 0 && overlap) overlap();
@@ -621,13 +622,7 @@ std::vector<InboundMessage> StfwCommunicator::exchange_planned_cached(
     covered.assign(nbrs.size(), false);
     for (const core::PlanOutFrame& f : layout.out_frames[static_cast<std::size_t>(stage)]) {
 #if STFW_VALIDATE_ENABLED
-      if (validator) {
-        StageMessage m;
-        m.from = me;
-        m.to = f.to;
-        m.subs = f.subs;
-        validator->on_stage_send(stage, m);
-      }
+      if (validator) validator->on_stage_send(stage, f.to, f.subs);
 #endif
       auto wire = planned_frame_bytes(f, seeds, plan.in_raw_);
       ++stats_.messages_sent;
@@ -682,7 +677,7 @@ std::vector<InboundMessage> StfwCommunicator::exchange_planned_cached(
         state.add_send(s.dest, off, static_cast<std::uint32_t>(s.bytes.size()));
         seed_bytes += s.bytes.size();
       }
-      std::vector<StageMessage> outbox;
+      core::StageOutbox outbox;
       std::uint64_t transit_peak = 0;
       for (int s = 0; s < stage; ++s) {
         outbox.clear();
@@ -720,18 +715,19 @@ std::vector<InboundMessage> StfwCommunicator::exchange_planned_cached(
         covered.assign(nbrs.size(), false);
         outbox.clear();
         state.make_stage_outbox(s, outbox);
-        for (const StageMessage& m : outbox) {
+        for (const core::OutboxRun& run : outbox.runs) {
+          const std::span<const Submessage> subs = outbox.subs_of(run);
 #if STFW_VALIDATE_ENABLED
-          if (validator) validator->on_stage_send(s, m);
+          if (validator) validator->on_stage_send(s, run.to, subs);
 #endif
-          auto wire = core::serialize(m, arena);
+          auto wire = core::serialize(subs, arena);
           ++stats_.messages_sent;
-          stats_.payload_bytes_sent += m.payload_bytes();
+          stats_.payload_bytes_sent += run.payload_bytes;
           stats_.wire_bytes_sent += wire.size();
-          const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(m.to));
-          if (ni != nbrs.end() && *ni == static_cast<int>(m.to))
+          const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(run.to));
+          if (ni != nbrs.end() && *ni == static_cast<int>(run.to))
             covered[static_cast<std::size_t>(ni - nbrs.begin())] = true;
-          comm_->send(static_cast<int>(m.to), t, std::move(wire));
+          comm_->send(static_cast<int>(run.to), t, std::move(wire));
         }
         send_stage_fillers(s, t, nbrs, covered, /*count_stats=*/true);
         if (barrier_sync_) comm_->barrier(stage_deadline());
@@ -840,7 +836,7 @@ std::shared_ptr<runtime::ExchangePlan> StfwCommunicator::plan(
   std::uint32_t index = 0;
   for (const auto& [dest, size] : pattern) state.add_send(dest, index++, size);
 
-  std::vector<StageMessage> outbox;
+  core::StageOutbox outbox;
   std::vector<core::PayloadSrc> srcs;
   std::vector<int> nbrs;
   std::vector<bool> covered;
@@ -854,14 +850,15 @@ std::shared_ptr<runtime::ExchangePlan> StfwCommunicator::plan(
     covered.assign(nbrs.size(), false);
     outbox.clear();
     state.make_stage_outbox(stage, outbox);
-    for (const StageMessage& m : outbox) {
+    for (const core::OutboxRun& run : outbox.runs) {
+      const std::span<const Submessage> subs = outbox.subs_of(run);
       srcs.clear();
-      for (const Submessage& s : m.subs) srcs.push_back(decode_prov(s.offset, s.size_bytes));
-      recorder.on_stage_send(stage, m.to, m.subs, srcs);
-      const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(m.to));
-      if (ni != nbrs.end() && *ni == static_cast<int>(m.to))
+      for (const Submessage& s : subs) srcs.push_back(decode_prov(s.offset, s.size_bytes));
+      recorder.on_stage_send(stage, run.to, subs, srcs);
+      const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(run.to));
+      if (ni != nbrs.end() && *ni == static_cast<int>(run.to))
         covered[static_cast<std::size_t>(ni - nbrs.begin())] = true;
-      comm_->send(static_cast<int>(m.to), tag, serialize_headers(m));
+      comm_->send(static_cast<int>(run.to), tag, serialize_headers(subs));
     }
     // Planning traffic is regularized too (an empty header frame is the same
     // 4 bytes as a payload-format filler), but frozen stats stay filler-free.
@@ -937,13 +934,7 @@ void StfwCommunicator::replay_plan_stages(
     covered.assign(nbrs.size(), false);
     for (const core::PlanOutFrame& f : layout.out_frames[static_cast<std::size_t>(stage)]) {
 #if STFW_VALIDATE_ENABLED
-      if (validator) {
-        StageMessage m;
-        m.from = me;
-        m.to = f.to;
-        m.subs = f.subs;
-        validator->on_stage_send(stage, m);
-      }
+      if (validator) validator->on_stage_send(stage, f.to, f.subs);
 #endif
       auto wire = planned_frame_bytes(f, payloads, plan.in_raw_);
       ++stats_.messages_sent;
@@ -1266,7 +1257,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   auto transmit = [&](OutFrame& f, clock::time_point now) {
     if (f.attempts > 0) ++stats_.retransmits;
     ++f.attempts;
-    auto wire = core::encode_frame(f.header, core::serialize_tracked(f.msg, arena));
+    auto wire = core::encode_frame(f.header, core::serialize_tracked(f.msg.subs, arena));
     stats_.wire_bytes_sent += wire.size();
     comm_->send(static_cast<int>(f.dest), kResilientDataTag, std::move(wire));
     auto delay = f.backoff;
@@ -1628,7 +1619,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // pump_sends transmits them alongside the stage frames.
   if (!relay_seeds.empty()) route_relayed(std::move(relay_seeds), /*count_as_relay=*/true);
   std::vector<core::Rank> nbrs;
-  std::vector<StageMessage> outbox;
+  core::StageOutbox outbox;
   std::uint64_t transit_peak = 0;
 
   // Settlement traffic (reliable control tags) can arrive before this rank
@@ -1658,14 +1649,16 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     // so receivers can detect stage completeness by counting senders.
     outbox.clear();
     state.make_stage_outbox(cur_stage, outbox);
-    std::map<core::Rank, std::size_t> outbox_by_dest;
-    for (std::size_t i = 0; i < outbox.size(); ++i) outbox_by_dest.emplace(outbox[i].to, i);
     nbrs.clear();
     vpt_.neighbors(me, cur_stage, nbrs);
+    // Both nbrs and the outbox runs ascend by rank: merge them.
+    auto run = outbox.runs.begin();
     for (const core::Rank nbr : nbrs) {
       StageMessage msg{me, nbr, {}};
-      if (const auto it = outbox_by_dest.find(nbr); it != outbox_by_dest.end())
-        msg.subs = std::move(outbox[it->second].subs);
+      if (run != outbox.runs.end() && run->to == nbr) {
+        const std::span<const Submessage> subs = outbox.subs_of(*run++);
+        msg.subs.assign(subs.begin(), subs.end());
+      }
       if (!mem.is_alive(nbr)) {
         // Dead neighbor: this rank is the pivot for whatever the stage would
         // have funneled through it — the dynamic counterpart of the repaired
@@ -1675,12 +1668,13 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         continue;
       }
 #if STFW_VALIDATE_ENABLED
-      if (validator) validator->on_stage_send(cur_stage, msg);
+      if (validator) validator->on_stage_send(cur_stage, nbr, msg.subs);
 #endif
       ++stats_.messages_sent;
       stats_.payload_bytes_sent += msg.payload_bytes();
       make_frame(core::FrameKind::kData, cur_stage, nbr, std::move(msg));
     }
+    STFW_ASSERT(run == outbox.runs.end(), "exchange_resilient: outbox run to a non-neighbor");
 
     // Frames for this stage that arrived while we were still behind.
     for (auto it = early.begin(); it != early.end();) {

@@ -9,7 +9,6 @@
 namespace stfw::sim {
 
 using core::Rank;
-using core::StageMessage;
 using core::StfwRankState;
 
 SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
@@ -21,8 +20,8 @@ SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
   const Rank K = vpt.size();
   const auto nK = static_cast<std::size_t>(K);
 
-  // With a caller-provided scratch the per-rank states (and their forward-
-  // buffer hash maps) survive across calls; otherwise `own` serves one call.
+  // With a caller-provided scratch the per-rank states and the stage arrays
+  // survive across calls; otherwise `own` serves one call.
   SimScratch own;
   SimScratch& scratch = options.scratch != nullptr ? *options.scratch : own;
   if (!scratch.vpt_.has_value() || !(*scratch.vpt_ == vpt) || scratch.states_.size() != nK) {
@@ -44,14 +43,13 @@ SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
   SimResult result{core::ExchangeMetrics(K), {}, 0.0, {}};
   result.stage_times_us.reserve(static_cast<std::size_t>(vpt.dim()));
 
-  scratch.inbox_.resize(nK);
   scratch.send_cost_.resize(nK);
   scratch.recv_cost_.resize(nK);
-  std::vector<std::vector<StageMessage>>& inbox = scratch.inbox_;
   std::vector<double>& send_cost = scratch.send_cost_;
   std::vector<double>& recv_cost = scratch.recv_cost_;
-  std::vector<StageMessage>& outbox = scratch.outbox_;
-  outbox.clear();
+  core::StageOutbox& outbox = scratch.outbox_;
+  std::vector<std::uint32_t>& dest_end = scratch.dest_end_;
+  std::vector<std::uint32_t>& by_dest = scratch.by_dest_;
   // Per-node NIC injection/ejection bottleneck: all off-node traffic of a
   // node's ranks serializes through its NIC.
   const bool model_injection =
@@ -74,17 +72,21 @@ SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
       std::fill(node_out.begin(), node_out.end(), 0);
       std::fill(node_in.begin(), node_in.end(), 0);
     }
-    // Phase 1: every rank forms its stage outbox; messages are routed to
-    // the destinations' inboxes.
+    // Phase 1: every rank appends its stage outbox to the one flat array;
+    // each message is charged to its sender and receiver, and counted for
+    // the destination grouping (dest_end[to + 1] counts runs to `to`).
+    outbox.clear();
+    dest_end.assign(nK + 1, 0);
     for (Rank r = 0; r < K; ++r) {
-      outbox.clear();
+      const std::size_t first = outbox.runs.size();
       states[static_cast<std::size_t>(r)].make_stage_outbox(stage, outbox);
-      for (StageMessage& m : outbox) {
-        const std::uint64_t payload = m.payload_bytes();
-        result.metrics.record_send(r, payload);
-        result.metrics.record_recv(m.to, payload);
+      for (std::size_t i = first; i < outbox.runs.size(); ++i) {
+        const core::OutboxRun& m = outbox.runs[i];
+        result.metrics.record_send(r, m.payload_bytes);
+        result.metrics.record_recv(m.to, m.payload_bytes);
+        ++dest_end[static_cast<std::size_t>(m.to) + 1];
         if (options.machine != nullptr) {
-          const std::uint64_t wire = core::wire_size_bytes(m.subs.size(), payload);
+          const std::uint64_t wire = core::wire_size_bytes(m.end - m.begin, m.payload_bytes);
           send_cost[static_cast<std::size_t>(r)] += options.machine->send_cost_us(r, m.to, wire);
           recv_cost[static_cast<std::size_t>(m.to)] += options.machine->recv_cost_us(wire);
           const int src_node = options.machine->node_of(r);
@@ -94,18 +96,23 @@ SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
             node_in[static_cast<std::size_t>(dst_node)] += wire;
           }
         }
-        inbox[static_cast<std::size_t>(m.to)].push_back(std::move(m));
       }
     }
-    // Phase 2: every rank scatters what it received.
-    for (Rank r = 0; r < K; ++r) {
-      auto& box = inbox[static_cast<std::size_t>(r)];
-      for (const StageMessage& m : box)
-        states[static_cast<std::size_t>(r)].accept(stage, m.subs);
-      box.clear();
-      transit_peak[static_cast<std::size_t>(r)] =
-          std::max(transit_peak[static_cast<std::size_t>(r)],
-                   states[static_cast<std::size_t>(r)].buffered_payload_bytes());
+    // Stable counting sort of the runs by destination: after the prefix
+    // sum dest_end[to] is where `to`'s runs begin; placing in run order
+    // (ascending sender) advances it to where they end.
+    for (std::size_t r = 0; r < nK; ++r) dest_end[r + 1] += dest_end[r];
+    by_dest.resize(outbox.runs.size());
+    for (std::size_t i = 0; i < outbox.runs.size(); ++i)
+      by_dest[dest_end[static_cast<std::size_t>(outbox.runs[i].to)]++] =
+          static_cast<std::uint32_t>(i);
+    // Phase 2: every rank scatters what it received, in sender-rank order.
+    std::uint32_t begin = 0;
+    for (std::size_t r = 0; r < nK; ++r) {
+      for (std::uint32_t k = begin; k < dest_end[r]; ++k)
+        states[r].accept(stage, outbox.subs_of(outbox.runs[by_dest[k]]));
+      begin = dest_end[r];
+      transit_peak[r] = std::max(transit_peak[r], states[r].buffered_payload_bytes());
     }
     if (options.machine != nullptr) {
       double stage_time = 0.0;

@@ -32,13 +32,15 @@ namespace stfw::sim {
 struct SimOptions;
 struct SimResult;
 
-/// Pooled per-rank state for repeated simulate_exchange calls. The sweep
-/// harnesses simulate many exchanges over the same (or equally-shaped) VPT;
-/// constructing K StfwRankStates — a vector of hash maps each — per call
-/// dominates small-pattern runs. A scratch passed via SimOptions keeps the
-/// states (and their bucket allocations) alive across calls: states are
-/// reset when the VPT matches and rebuilt only when it changes. Owns a copy
-/// of the VPT so pooled states never dangle on a caller-destroyed topology.
+/// Pooled per-rank state and per-stage traffic arrays for repeated
+/// simulate_exchange calls. The sweep harnesses simulate many exchanges over
+/// the same (or equally-shaped) VPT; constructing K StfwRankStates per call
+/// and regrowing the stage arrays dominates small-pattern runs. A scratch
+/// passed via SimOptions keeps both alive across calls: states are reset
+/// when the VPT matches and rebuilt only when it changes (a state keeps only
+/// its delivered list's capacity; forward buffers are released stage by
+/// stage). Owns a copy of the VPT so pooled states never dangle on a
+/// caller-destroyed topology.
 class SimScratch {
 public:
   SimScratch() = default;
@@ -48,8 +50,13 @@ private:
                                      const SimOptions& options);
   std::optional<core::Vpt> vpt_;
   std::vector<core::StfwRankState> states_;
-  std::vector<std::vector<core::StageMessage>> inbox_;
-  std::vector<core::StageMessage> outbox_;
+  // One stage's traffic: every rank's outbox appended to one StageOutbox in
+  // rank order, and its run indices grouped by destination with a stable
+  // counting sort (rank r's inbound runs end at dest_end_[r] in by_dest_,
+  // in sender-rank order).
+  core::StageOutbox outbox_;
+  std::vector<std::uint32_t> dest_end_;
+  std::vector<std::uint32_t> by_dest_;
   std::vector<std::uint64_t> transit_peak_;
   std::vector<double> send_cost_;
   std::vector<double> recv_cost_;

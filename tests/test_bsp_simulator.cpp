@@ -264,6 +264,44 @@ TEST(Simulator, RejectsUnfinalizedPattern) {
   EXPECT_THROW(simulate_exchange(Vpt::direct(4), p), core::Error);
 }
 
+void expect_same_result(const SimResult& a, const SimResult& b, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.metrics.send_counts(), b.metrics.send_counts());
+  EXPECT_EQ(a.metrics.recv_counts(), b.metrics.recv_counts());
+  EXPECT_EQ(a.metrics.send_payload_bytes(), b.metrics.send_payload_bytes());
+  EXPECT_EQ(a.metrics.recv_payload_bytes(), b.metrics.recv_payload_bytes());
+  EXPECT_EQ(a.metrics.buffer_bytes(), b.metrics.buffer_bytes());
+  EXPECT_EQ(a.stage_times_us, b.stage_times_us);
+  EXPECT_EQ(a.comm_time_us, b.comm_time_us);
+  EXPECT_EQ(a.delivered, b.delivered);
+}
+
+TEST(Simulator, ScratchNeverChangesTheResult) {
+  // A pooled SimScratch keeps rank states and stage arrays across calls;
+  // whatever it held before must not leak into the next result.
+  const Vpt vpt({4, 2, 2});
+  const Vpt other = Vpt::direct(16);
+  const auto pattern = random_pattern(16, 0.4, 31, 24);
+  const auto changed = random_pattern(16, 0.7, 32, 40);
+  const auto machine = netsim::Machine::cray_xc40(16);
+  SimOptions opts;
+  opts.machine = &machine;
+  opts.collect_delivered = true;
+  const SimResult plain = simulate_exchange(vpt, pattern, opts);
+  const SimResult changed_plain = simulate_exchange(vpt, changed, opts);
+
+  SimScratch scratch;
+  SimOptions pooled = opts;
+  pooled.scratch = &scratch;
+  expect_same_result(simulate_exchange(vpt, pattern, pooled), plain, "fresh scratch");
+  expect_same_result(simulate_exchange(vpt, pattern, pooled), plain, "reused scratch");
+  expect_same_result(simulate_exchange(other, pattern, pooled),
+                     simulate_exchange(other, pattern, opts), "switched to another VPT");
+  expect_same_result(simulate_exchange(vpt, pattern, pooled), plain, "switched back");
+  expect_same_result(simulate_exchange(vpt, changed, pooled), changed_plain, "changed pattern");
+  expect_same_result(simulate_exchange(vpt, pattern, pooled), plain, "after a changed pattern");
+}
+
 TEST(Simulator, MatchesThreadedRuntimeMetrics) {
   // The two substrates share the routing core; their aggregate metrics must
   // agree exactly. (The threaded side is exercised per-rank in

@@ -9,8 +9,8 @@
 namespace stfw::core {
 namespace {
 
-std::vector<StageMessage> outbox_of(StfwRankState& state, int stage) {
-  std::vector<StageMessage> out;
+StageOutbox outbox_of(StfwRankState& state, int stage) {
+  StageOutbox out;
   state.make_stage_outbox(stage, out);
   return out;
 }
@@ -32,11 +32,11 @@ TEST(RankState, DirectVptSendsEverythingInStageZero) {
   for (Rank d = 1; d < 8; ++d) s.add_send(d, 0, 8);
   EXPECT_EQ(s.buffered_payload_bytes(), 7u * 8u);
   auto out = outbox_of(s, 0);
-  EXPECT_EQ(out.size(), 7u);  // one message per destination
-  for (const auto& m : out) {
-    EXPECT_EQ(m.from, 0);
-    EXPECT_EQ(m.subs.size(), 1u);
-    EXPECT_EQ(m.subs[0].dest, m.to);
+  EXPECT_EQ(out.runs.size(), 7u);  // one message per destination
+  for (const auto& m : out.runs) {
+    ASSERT_EQ(out.subs_of(m).size(), 1u);
+    EXPECT_EQ(out.subs_of(m)[0].source, 0);
+    EXPECT_EQ(out.subs_of(m)[0].dest, m.to);
   }
   EXPECT_EQ(s.buffered_payload_bytes(), 0u);
 }
@@ -52,10 +52,10 @@ TEST(RankState, MessagesToSameNeighborCoalesce) {
     s.add_send(t.rank_of(coords), 0, 8);
   }
   auto out = outbox_of(s, 0);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].to, 1);  // (1,0)
-  EXPECT_EQ(out[0].subs.size(), 4u);
-  EXPECT_EQ(out[0].payload_bytes(), 32u);
+  ASSERT_EQ(out.runs.size(), 1u);
+  EXPECT_EQ(out.runs[0].to, 1);  // (1,0)
+  EXPECT_EQ(out.subs_of(out.runs[0]).size(), 4u);
+  EXPECT_EQ(out.runs[0].payload_bytes, 32u);
 }
 
 TEST(RankState, SecondStageSeedsSkipStageZero) {
@@ -64,10 +64,10 @@ TEST(RankState, SecondStageSeedsSkipStageZero) {
   StfwRankState s(t, 0);  // (0,0)
   const int coords[2] = {0, 2};
   s.add_send(t.rank_of(coords), 0, 8);
-  EXPECT_TRUE(outbox_of(s, 0).empty());
+  EXPECT_TRUE(outbox_of(s, 0).runs.empty());
   auto out = outbox_of(s, 1);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].to, t.rank_of(coords));
+  ASSERT_EQ(out.runs.size(), 1u);
+  EXPECT_EQ(out.runs[0].to, t.rank_of(coords));
 }
 
 TEST(RankState, PaperFigure4Walkthrough) {
@@ -93,31 +93,31 @@ TEST(RankState, PaperFigure4Walkthrough) {
   a.add_send(pe, 0, 8);
 
   auto out0 = outbox_of(a, 0);
-  ASSERT_EQ(out0.size(), 1u);  // a single M_ad despite three destinations
-  EXPECT_EQ(out0[0].to, pd);
-  EXPECT_EQ(out0[0].subs.size(), 3u);
-  EXPECT_TRUE(outbox_of(a, 1).empty());
-  EXPECT_TRUE(outbox_of(a, 2).empty());
+  ASSERT_EQ(out0.runs.size(), 1u);  // a single M_ad despite three destinations
+  EXPECT_EQ(out0.runs[0].to, pd);
+  EXPECT_EQ(out0.subs_of(out0.runs[0]).size(), 3u);
+  EXPECT_TRUE(outbox_of(a, 1).runs.empty());
+  EXPECT_TRUE(outbox_of(a, 2).runs.empty());
 
   // P_d receives M_ad in stage 1 and sorts the submessages out.
   StfwRankState d(t, pd);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   d.make_stage_outbox(0, sink);
-  d.accept(0, out0[0].subs);
+  d.accept(0, out0.subs_of(out0.runs[0]));
   ASSERT_EQ(d.delivered().size(), 1u);  // m_ad is for P_d itself
   EXPECT_EQ(d.delivered()[0].dest, pd);
 
   auto dout1 = outbox_of(d, 1);  // stage 2: (P_e, m_ae) via dimension 2
-  ASSERT_EQ(dout1.size(), 1u);
-  EXPECT_EQ(dout1[0].to, rank(2, 3, 1));
-  ASSERT_EQ(dout1[0].subs.size(), 1u);
-  EXPECT_EQ(dout1[0].subs[0].dest, pe);
+  ASSERT_EQ(dout1.runs.size(), 1u);
+  EXPECT_EQ(dout1.runs[0].to, rank(2, 3, 1));
+  ASSERT_EQ(dout1.subs.size(), 1u);
+  EXPECT_EQ(dout1.subs[0].dest, pe);
 
   auto dout2 = outbox_of(d, 2);  // stage 3: (P_c, m_ac) via dimension 3
-  ASSERT_EQ(dout2.size(), 1u);
-  EXPECT_EQ(dout2[0].to, pc);
-  ASSERT_EQ(dout2[0].subs.size(), 1u);
-  EXPECT_EQ(dout2[0].subs[0].dest, pc);
+  ASSERT_EQ(dout2.runs.size(), 1u);
+  EXPECT_EQ(dout2.runs[0].to, pc);
+  ASSERT_EQ(dout2.subs.size(), 1u);
+  EXPECT_EQ(dout2.subs[0].dest, pc);
 }
 
 TEST(RankState, ForwardingMergesStreamsForSameDestination) {
@@ -127,9 +127,9 @@ TEST(RankState, ForwardingMergesStreamsForSameDestination) {
   // destinations go to different buffers and stay in distinct messages.
   const Vpt t({2, 2, 2});
   StfwRankState s(t, 0);  // intermediate process (0,0,0)
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);  // enter stage 0 (nothing of our own)
-  ASSERT_TRUE(sink.empty());
+  ASSERT_TRUE(sink.runs.empty());
 
   const int same_dest_coords[3] = {0, 1, 0};
   const int other_dest_coords[3] = {0, 0, 1};
@@ -143,20 +143,20 @@ TEST(RankState, ForwardingMergesStreamsForSameDestination) {
   s.accept(0, subs);
 
   auto out1 = outbox_of(s, 1);
-  ASSERT_EQ(out1.size(), 1u);
-  EXPECT_EQ(out1[0].to, same_dest);
-  EXPECT_EQ(out1[0].subs.size(), 2u);  // both streams merged into one message
+  ASSERT_EQ(out1.runs.size(), 1u);
+  EXPECT_EQ(out1.runs[0].to, same_dest);
+  EXPECT_EQ(out1.subs.size(), 2u);  // both streams merged into one message
 
   auto out2 = outbox_of(s, 2);
-  ASSERT_EQ(out2.size(), 1u);
-  EXPECT_EQ(out2[0].to, other_dest);
-  EXPECT_EQ(out2[0].subs.size(), 1u);  // the same-source stream stayed apart
+  ASSERT_EQ(out2.runs.size(), 1u);
+  EXPECT_EQ(out2.runs[0].to, other_dest);
+  EXPECT_EQ(out2.subs.size(), 1u);  // the same-source stream stayed apart
 }
 
 TEST(RankState, AcceptScattersIntoLaterStages) {
   const Vpt t({2, 2, 2});
   StfwRankState s(t, 0);  // (0,0,0)
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);  // enter stage 0
 
   const int d1_coords[3] = {0, 1, 0};  // forwarded in stage 1
@@ -173,12 +173,38 @@ TEST(RankState, AcceptScattersIntoLaterStages) {
   EXPECT_EQ(s.buffered_payload_bytes(), 16u);
 
   auto out1 = outbox_of(s, 1);
-  ASSERT_EQ(out1.size(), 1u);
-  EXPECT_EQ(out1[0].to, via_stage1);
+  ASSERT_EQ(out1.runs.size(), 1u);
+  EXPECT_EQ(out1.runs[0].to, via_stage1);
   auto out2 = outbox_of(s, 2);
-  ASSERT_EQ(out2.size(), 1u);
-  EXPECT_EQ(out2[0].to, via_stage2);
+  ASSERT_EQ(out2.runs.size(), 1u);
+  EXPECT_EQ(out2.runs[0].to, via_stage2);
   EXPECT_EQ(s.buffered_payload_bytes(), 0u);
+}
+
+TEST(RankState, OutboxGroupsByNeighborInArrivalOrderAndAppends) {
+  // T_1(4): interleaved arrivals for neighbors 3 and 1 come out grouped in
+  // ascending neighbor order, each group in arrival order, appended after
+  // whatever the outbox already holds.
+  const Vpt t = Vpt::direct(4);
+  StfwRankState s(t, 0);
+  s.add_send(3, 10, 1);
+  s.add_send(1, 11, 2);
+  s.add_send(3, 12, 3);
+  s.add_send(1, 13, 4);
+  StageOutbox out;
+  out.subs.push_back(Submessage{2, 2, 99, 7});  // a previous rank's run
+  out.runs.push_back(OutboxRun{2, 0, 1, 7});
+  s.make_stage_outbox(0, out);
+  ASSERT_EQ(out.runs.size(), 3u);
+  EXPECT_EQ(out.runs[1].to, 1);
+  EXPECT_EQ(out.runs[1].payload_bytes, 6u);
+  EXPECT_EQ(out.runs[2].to, 3);
+  EXPECT_EQ(out.runs[2].payload_bytes, 4u);
+  std::vector<std::uint64_t> offsets;
+  for (const OutboxRun& run : out.runs)
+    for (const Submessage& sub : out.subs_of(run)) offsets.push_back(sub.offset);
+  EXPECT_EQ(offsets, (std::vector<std::uint64_t>{99, 11, 13, 10, 12}));
+  EXPECT_EQ(s.buffered_submessage_count(), 0u);
 }
 
 TEST(RankState, PeakBufferTracksHighWater) {
@@ -187,7 +213,7 @@ TEST(RankState, PeakBufferTracksHighWater) {
   s.add_send(1, 0, 100);
   s.add_send(2, 0, 50);
   EXPECT_EQ(s.peak_buffered_payload_bytes(), 150u);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);
   EXPECT_EQ(s.buffered_payload_bytes(), 0u);
   EXPECT_EQ(s.peak_buffered_payload_bytes(), 150u);  // high water sticks
@@ -196,7 +222,7 @@ TEST(RankState, PeakBufferTracksHighWater) {
 TEST(RankState, StagesMustRunInOrder) {
   const Vpt t({2, 2});
   StfwRankState s(t, 0);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   EXPECT_THROW(s.make_stage_outbox(1, sink), Error);
   s.make_stage_outbox(0, sink);
   EXPECT_THROW(s.make_stage_outbox(0, sink), Error);
@@ -213,7 +239,7 @@ TEST(RankState, AcceptRequiresMatchingStage) {
 TEST(RankState, AddSendAfterStartIsAnError) {
   const Vpt t({2, 2});
   StfwRankState s(t, 0);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);
   EXPECT_THROW(s.add_send(1, 0, 8), Error);
 }
@@ -222,7 +248,7 @@ TEST(RankState, ResetAllowsReuse) {
   const Vpt t({2, 2});
   StfwRankState s(t, 0);
   s.add_send(3, 0, 8);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);
   s.make_stage_outbox(1, sink);
   s.reset();
@@ -231,7 +257,7 @@ TEST(RankState, ResetAllowsReuse) {
   s.add_send(1, 0, 8);  // no throw
   sink.clear();
   s.make_stage_outbox(0, sink);
-  EXPECT_EQ(sink.size(), 1u);
+  EXPECT_EQ(sink.runs.size(), 1u);
 }
 
 TEST(RankState, RejectsOutOfRangeDestination) {

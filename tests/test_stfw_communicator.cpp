@@ -206,7 +206,7 @@ TEST(Communicator, ValidatorDetectsMisroutedMessage) {
           // match it, so the header is misrouted/corrupted.
           forged.subs.push_back(core::Submessage{1, 3, arena.add(payload),
                                                  static_cast<std::uint32_t>(payload.size())});
-          comm.send(0, /*tag=*/0, core::serialize(forged, arena));
+          comm.send(0, /*tag=*/0, core::serialize(forged.subs, arena));
         }
         communicator.exchange({});
       }),
@@ -231,7 +231,7 @@ TEST(Communicator, ValidatorDetectsLostPayload) {
           const std::vector<std::byte> payload(4, std::byte{0x7e});
           forged.subs.push_back(core::Submessage{1, 0, arena.add(payload),
                                                  static_cast<std::uint32_t>(payload.size())});
-          comm.send(0, /*tag=*/0, core::serialize(forged, arena));
+          comm.send(0, /*tag=*/0, core::serialize(forged.subs, arena));
         }
         communicator.exchange({});
       }),

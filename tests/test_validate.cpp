@@ -17,7 +17,6 @@ namespace {
 
 using core::PayloadArena;
 using core::Rank;
-using core::StageMessage;
 using core::Submessage;
 using core::ValidationError;
 using core::Vpt;
@@ -72,7 +71,7 @@ void run_validated_exchange(const Vpt& vpt, double density, std::uint64_t seed,
       states[ii].add_send(j, off, static_cast<std::uint32_t>(payload.size()));
     }
 
-  std::vector<StageMessage> outbox;
+  core::StageOutbox outbox;
   for (int stage = 0; stage < vpt.dim(); ++stage) {
     struct Wire {
       Rank from, to;
@@ -83,10 +82,10 @@ void run_validated_exchange(const Vpt& vpt, double density, std::uint64_t seed,
       const auto rr = static_cast<std::size_t>(r);
       outbox.clear();
       states[rr].make_stage_outbox(stage, outbox);
-      for (const StageMessage& m : outbox) {
-        validators[rr].on_stage_send(stage, m);
+      for (const core::OutboxRun& run : outbox.runs) {
+        validators[rr].on_stage_send(stage, run.to, outbox.subs_of(run));
         ++sent_count[rr];
-        in_flight.push_back(Wire{m.from, m.to, core::serialize(m, arenas[rr])});
+        in_flight.push_back(Wire{r, run.to, core::serialize(outbox.subs_of(run), arenas[rr])});
       }
     }
     for (const Wire& w : in_flight) {
@@ -123,79 +122,52 @@ TEST(ExchangeValidator, CleanExchangesPass) {
 TEST(ExchangeValidator, RejectsNonNeighborStageSend) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 3;  // differs from rank 0 in both dimensions
-  expect_violation("neighbor-send", [&] { v.on_stage_send(0, m); });
-}
-
-TEST(ExchangeValidator, RejectsStageSendFromWrongOrigin) {
-  const Vpt vpt({2, 2});
-  ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 2;
-  m.to = 1;
-  expect_violation("send-origin", [&] { v.on_stage_send(0, m); });
+  // Rank 3 differs from rank 0 in both dimensions.
+  expect_violation("neighbor-send", [&] { v.on_stage_send(0, /*to=*/3, {}); });
 }
 
 TEST(ExchangeValidator, RejectsWrongRoutingDigit) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 1;  // dimension-0 neighbor, digit 1
-  // Submessage for rank 2 = (0,1): its dimension-0 digit is 0, not 1 — it
-  // belongs in the buffer of another neighbor.
-  m.subs.push_back(Submessage{0, 2, 0, 0});
-  expect_violation("routing-digit", [&] { v.on_stage_send(0, m); });
+  // To rank 1, the dimension-0 neighbor with digit 1. The submessage for
+  // rank 2 = (0,1) has dimension-0 digit 0, not 1 — it belongs in the buffer
+  // of another neighbor.
+  const Submessage subs[] = {{0, 2, 0, 0}};
+  expect_violation("routing-digit", [&] { v.on_stage_send(0, /*to=*/1, subs); });
 }
 
 TEST(ExchangeValidator, RejectsSelfAddressedSubmessageLeaving) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 1;
-  m.subs.push_back(Submessage{3, 0, 0, 0});  // addressed to the sender itself
-  expect_violation("self-addressed", [&] { v.on_stage_send(0, m); });
+  const Submessage subs[] = {{3, 0, 0, 0}};  // addressed to the sender itself
+  expect_violation("self-addressed", [&] { v.on_stage_send(0, /*to=*/1, subs); });
 }
 
 TEST(ExchangeValidator, RejectsDimensionOrderViolationOnSend) {
   const Vpt vpt({2, 2, 2});
-  // Rank 0 sends in stage 1 a submessage whose destination still differs
-  // from it in dimension 0 — that hop should have happened in stage 0.
+  // Rank 0 sends in stage 1 (to its dimension-1 neighbor 2) a submessage
+  // whose destination 3 = (1,1,0) still differs from it in dimension 0 —
+  // that hop should have happened in stage 0.
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 2;  // dimension-1 neighbor
-  m.subs.push_back(Submessage{0, 3, 0, 0});  // 3 = (1,1,0): differs in dim 0
-  expect_violation("dimension-order-send", [&] { v.on_stage_send(1, m); });
+  const Submessage subs[] = {{0, 3, 0, 0}};
+  expect_violation("dimension-order-send", [&] { v.on_stage_send(1, /*to=*/2, subs); });
 }
 
 TEST(ExchangeValidator, RejectsDuplicateStageMessage) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 1;
-  m.subs.push_back(Submessage{0, 1, 0, 0});
-  EXPECT_NO_THROW(v.on_stage_send(0, m));
-  expect_violation("duplicate-stage-message", [&] { v.on_stage_send(0, m); });
+  const Submessage subs[] = {{0, 1, 0, 0}};
+  EXPECT_NO_THROW(v.on_stage_send(0, /*to=*/1, subs));
+  expect_violation("duplicate-stage-message", [&] { v.on_stage_send(0, /*to=*/1, subs); });
 }
 
 TEST(ExchangeValidator, RejectsOutOfOrderStages) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m1;
-  m1.from = 0;
-  m1.to = 2;  // dimension-1 neighbor
-  m1.subs.push_back(Submessage{0, 2, 0, 0});
-  EXPECT_NO_THROW(v.on_stage_send(1, m1));
-  StageMessage m0;
-  m0.from = 0;
-  m0.to = 1;
-  m0.subs.push_back(Submessage{0, 1, 0, 0});
-  expect_violation("stage-order", [&] { v.on_stage_send(0, m0); });
+  const Submessage to2[] = {{0, 2, 0, 0}};
+  EXPECT_NO_THROW(v.on_stage_send(1, /*to=*/2, to2));  // dimension-1 neighbor
+  const Submessage to1[] = {{0, 1, 0, 0}};
+  expect_violation("stage-order", [&] { v.on_stage_send(0, /*to=*/1, to1); });
 }
 
 TEST(ExchangeValidator, RejectsNonNeighborReceive) {

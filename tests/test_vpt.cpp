@@ -182,6 +182,32 @@ INSTANTIATE_TEST_SUITE_P(Sweep, VptBalanced,
                                            BalancedCase{512, 4}, BalancedCase{512, 9},
                                            BalancedCase{4096, 7}, BalancedCase{16384, 14}));
 
+TEST(Vpt, PowerOfTwoDigitsMatchMixedRadixArithmetic) {
+  // Power-of-two VPTs read digits as bit fields; every routing query must
+  // agree with plain mixed-radix division on every pair of ranks, for
+  // power-of-two and other shapes alike.
+  for (const Vpt& t : {Vpt({4, 2, 8}), Vpt::balanced(64, 4), Vpt::hypercube(32),
+                       Vpt::direct(16), Vpt::direct(1), Vpt({3, 4, 2}), Vpt::direct(12)}) {
+    const auto digit = [&](Rank r, int d) {
+      Rank stride = 1;
+      for (int c = 0; c < d; ++c) stride *= t.dim_size(c);
+      return static_cast<int>((r / stride) % t.dim_size(d));
+    };
+    for (Rank a = 0; a < t.size(); ++a)
+      for (Rank b = 0; b < t.size(); ++b)
+        for (int d = -1; d < t.dim(); ++d) {
+          int want = -1;
+          for (int c = d + 1; c < t.dim() && want < 0; ++c)
+            if (digit(a, c) != digit(b, c)) want = c;
+          ASSERT_EQ(t.first_diff_dim_after(a, b, d), want)
+              << t.to_string() << " a=" << a << " b=" << b << " d=" << d;
+          if (d >= 0) {
+            ASSERT_EQ(t.coord(a, d), digit(a, d)) << t.to_string();
+          }
+        }
+  }
+}
+
 TEST(Vpt, BalancedRejectsBadArguments) {
   EXPECT_THROW(Vpt::balanced(100, 2), Error);  // not a power of two
   EXPECT_THROW(Vpt::balanced(64, 7), Error);   // n > lg2 K

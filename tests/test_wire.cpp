@@ -21,7 +21,7 @@ std::vector<std::byte> bytes_of(std::initializer_list<int> values) {
 TEST(Wire, EmptyMessageRoundTrip) {
   PayloadArena arena;
   StageMessage m{0, 1, {}};
-  const auto wire = serialize(m, arena);
+  const auto wire = serialize(m.subs, arena);
   EXPECT_EQ(wire.size(), wire_size_bytes(0, 0));
   PayloadArena arena2;
   const auto subs = deserialize(wire, arena2);
@@ -38,7 +38,7 @@ TEST(Wire, RoundTripPreservesHeadersAndPayloads) {
   m.subs.push_back(Submessage{3, 5, arena.add(p2), 0});
   m.subs.push_back(Submessage{11, 9, arena.add(p3), 5});
 
-  const auto wire = serialize(m, arena);
+  const auto wire = serialize(m.subs, arena);
   EXPECT_EQ(wire.size(), wire_size_bytes(3, 9));
 
   PayloadArena arena2;
@@ -74,7 +74,7 @@ TEST(Wire, RandomizedRoundTrip) {
       payloads.push_back(std::move(p));
     }
     PayloadArena arena2;
-    const auto subs = deserialize(serialize(m, arena), arena2);
+    const auto subs = deserialize(serialize(m.subs, arena), arena2);
     ASSERT_EQ(subs.size(), payloads.size());
     for (std::size_t i = 0; i < subs.size(); ++i) {
       const auto view = arena2.view(subs[i]);
@@ -94,7 +94,7 @@ TEST(Wire, RejectsTruncatedPayload) {
   StageMessage m{0, 1, {}};
   const auto p = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
   m.subs.push_back(Submessage{0, 1, arena.add(p), 8});
-  auto wire = serialize(m, arena);
+  auto wire = serialize(m.subs, arena);
   // erase, not resize(size() - 3): gcc 12 cannot see that size() >= 3 here and
   // flags the shrinking resize with a bogus -Wstringop-overflow under asan.
   wire.erase(wire.end() - 3, wire.end());
@@ -105,7 +105,7 @@ TEST(Wire, RejectsTruncatedPayload) {
 TEST(Wire, RejectsTrailingGarbage) {
   PayloadArena arena;
   StageMessage m{0, 1, {}};
-  auto wire = serialize(m, arena);
+  auto wire = serialize(m.subs, arena);
   wire.push_back(std::byte{0});
   PayloadArena arena2;
   EXPECT_THROW(deserialize(wire, arena2), Error);
@@ -118,7 +118,7 @@ TEST(Wire, TrackedRoundTripPreservesIds) {
   const auto p2 = bytes_of({});
   m.subs.push_back(Submessage{2, 9, arena.add(p1), 4, 11});
   m.subs.push_back(Submessage{3, 5, arena.add(p2), 0, 0xffffffffu});
-  const auto wire = serialize_tracked(m, arena);
+  const auto wire = serialize_tracked(m.subs, arena);
   // The tracked layout costs exactly 4 extra bytes per submessage.
   EXPECT_EQ(wire.size(), wire_size_bytes(2, 4) + 2 * 4);
   PayloadArena arena2;
@@ -137,7 +137,7 @@ TEST(Wire, TrackedRejectsTruncation) {
   StageMessage m{0, 1, {}};
   const auto p = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
   m.subs.push_back(Submessage{0, 1, arena.add(p), 8, 3});
-  auto wire = serialize_tracked(m, arena);
+  auto wire = serialize_tracked(m.subs, arena);
   wire.erase(wire.end() - 3, wire.end());
   PayloadArena arena2;
   EXPECT_THROW(deserialize_tracked(wire, arena2), Error);

@@ -134,7 +134,7 @@ std::vector<std::byte> random_stage_wire(std::mt19937_64& rng, bool tracked) {
     s.id = static_cast<std::uint32_t>(i);
     m.subs.push_back(s);
   }
-  return tracked ? serialize_tracked(m, arena) : serialize(m, arena);
+  return tracked ? serialize_tracked(m.subs, arena) : serialize(m.subs, arena);
 }
 
 /// The plain format has no checksum: a mutation may legitimately decode (it
