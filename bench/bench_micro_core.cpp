@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the core routing machinery: VPT
 // coordinate math, SendSet seeding, stage outbox formation, wire
-// serialization, and whole-exchange simulator throughput.
+// serialization, resilient frame encode/decode, and whole-exchange simulator
+// throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -73,6 +74,23 @@ void BM_WireSerializeRoundTrip(benchmark::State& state) {
                               64, 64 * static_cast<std::uint64_t>(state.range(0)))));
 }
 BENCHMARK(BM_WireSerializeRoundTrip)->Arg(16)->Arg(256)->Arg(4096);
+
+// The resilient exchange's per-byte frame cost: encode (copy + checksum) and
+// decode (checksum) of one frame with a body of range(0) bytes.
+void BM_FrameEncodeDecode(benchmark::State& state) {
+  std::vector<std::byte> body(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = static_cast<std::byte>(i * 131);
+  core::FrameHeader h;
+  h.seq = 7;
+  h.sender = 1;
+  for (auto _ : state) {
+    const auto wire = core::encode_frame(h, body);
+    auto decoded = core::decode_frame(wire);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FrameEncodeDecode)->Arg(64)->Arg(4 << 10)->Arg(150 << 10);
 
 // 16 messages of 64 bytes from every rank to seeded random destinations.
 sim::CommPattern random_pattern(Rank K) {

@@ -62,9 +62,14 @@ std::vector<Submessage> deserialize_tracked(std::span<const std::byte> wire, Pay
 // version the sender believed in when it built the frame: receivers whose
 // membership has advanced past it nack the frame, forcing the sender to
 // observe the failure and re-route before retrying (docs/fault_model.md,
-// "Membership epochs"). `checksum` is FNV-1a over all preceding header bytes
-// plus the body, which catches the truncation and bit-rot faults the
-// injector can produce.
+// "Membership epochs"). `checksum` covers the 28 header bytes before it and
+// the body: frame_checksum of the body, seeded with frame_checksum of those
+// header bytes. That catches the truncation and bit-rot faults the injector
+// can produce. The checksum is XXH64 (below), not FNV-1a: FNV-1a does one
+// dependent multiply per byte, and every payload byte is checksummed twice
+// per store-and-forward hop. Nor is it CRC32C: a fast CRC32C needs CPU
+// intrinsics plus a portable fallback beside them, and the frame layer keeps
+// one code path.
 
 inline constexpr std::uint32_t kFrameMagic = 0x53544652u;  // "STFR"
 inline constexpr std::uint64_t kFrameOverheadBytes = 36;
@@ -99,13 +104,21 @@ struct DecodedFrame {
   std::span<const std::byte> body;
 };
 
-/// FNV-1a (64-bit) over `bytes`, continuing from `h`.
-std::uint64_t fnv1a(std::span<const std::byte> bytes,
-                    std::uint64_t h = 14695981039346656037ull) noexcept;
+/// XXH64 of `bytes` with `seed`: 8-byte little-endian words feed four
+/// independent multiply-rotate lanes per 32-byte stripe, the 8-, 4- and
+/// 1-byte tail is folded in, and an avalanche finalizer mixes the result.
+/// Portable C++ (no intrinsics); digests equal the reference XXH64.
+std::uint64_t frame_checksum(std::span<const std::byte> bytes, std::uint64_t seed = 0) noexcept;
 
 /// Wrap `body` in a frame with `header` (its body_len is overwritten) and a
 /// freshly computed checksum.
 std::vector<std::byte> encode_frame(FrameHeader header, std::span<const std::byte> body);
+
+/// The frame encode_frame(header, serialize_tracked(subs, arena)) would
+/// produce, byte for byte, written in one pass into one buffer of exactly
+/// the frame's size: the tracked body is never materialized on its own.
+std::vector<std::byte> encode_tracked_frame(FrameHeader header, std::span<const Submessage> subs,
+                                            const PayloadArena& arena);
 
 /// Parse a frame. Returns std::nullopt — never throws — when the buffer is
 /// truncated, carries the wrong magic, or fails the checksum: a corrupt

@@ -1217,10 +1217,10 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     // No retained wire image: the tracker holds only the frame header and
     // the submessage headers (payload bytes stay in `arena`), and every
     // transmission — first send and retransmit alike — re-gathers the wire
-    // bytes from them. serialize_tracked and encode_frame are deterministic
-    // functions of (header, subs, arena), so a retransmit is byte-identical
-    // to the original frame while an unacked frame costs O(subs) to track
-    // instead of a full wire copy.
+    // bytes from them. encode_tracked_frame is a deterministic function of
+    // (header, subs, arena), so a retransmit is byte-identical to the
+    // original frame while an unacked frame costs O(subs) to track instead
+    // of a full wire copy.
     core::FrameHeader header;
     StageMessage msg;  // subs double as the fallback / loss-reporting list
     int attempts = 0;
@@ -1257,7 +1257,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   auto transmit = [&](OutFrame& f, clock::time_point now) {
     if (f.attempts > 0) ++stats_.retransmits;
     ++f.attempts;
-    auto wire = core::encode_frame(f.header, core::serialize_tracked(f.msg.subs, arena));
+    auto wire = core::encode_tracked_frame(f.header, f.msg.subs, arena);
     stats_.wire_bytes_sent += wire.size();
     comm_->send(static_cast<int>(f.dest), kResilientDataTag, std::move(wire));
     auto delay = f.backoff;

@@ -229,10 +229,11 @@ TEST(ExchangeEquivalence, OverlapAndBarrierSyncDeliverIdenticalMultisets) {
       sort_inbox(inbox);
       received[me] = std::move(inbox);
     });
-    if (use_hook)
+    if (use_hook) {
       for (Rank r = 0; r < kRanks; ++r)
         EXPECT_EQ(hook_calls[static_cast<std::size_t>(r)], 2)
             << label << ": hook must fire once per exchange, rank " << r;
+    }
     return received;
   };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -328,11 +329,54 @@ TEST(FailureNoticeCodec, RejectsOverstatedDeadCount) {
   EXPECT_FALSE(decode_failure_notice(body).has_value());
 }
 
-TEST(Frame, FnvDigestIsStable) {
-  const auto data = bytes_of({'a', 'b', 'c'});
-  // Reference value of FNV-1a 64 for "abc".
-  EXPECT_EQ(fnv1a(data), 0xe71fa2190541574bull);
-  EXPECT_EQ(fnv1a({}), 14695981039346656037ull);
+TEST(Frame, ChecksumDigestIsStable) {
+  // Reference XXH64 digests (seed 0): the checksum is part of the wire
+  // format, so any change to it must show up here.
+  EXPECT_EQ(frame_checksum({}), 0xef46db3751d8e999ull);
+  EXPECT_EQ(frame_checksum(bytes_of({'a', 'b', 'c'})), 0x44bc2cf5ad770999ull);
+  std::vector<std::byte> pattern(1024);
+  for (std::size_t i = 0; i < pattern.size(); ++i)
+    pattern[i] = static_cast<std::byte>((i * 31 + 7) & 0xff);
+  const std::uint64_t digest = frame_checksum(pattern);
+  EXPECT_EQ(digest, 0x149aa44972cdae00ull);
+
+  // Word order matters: swapping two distinct 8-byte words changes the digest.
+  auto swapped = pattern;
+  std::swap_ranges(swapped.begin() + 8, swapped.begin() + 16, swapped.begin() + 504);
+  ASSERT_NE(swapped, pattern);
+  EXPECT_NE(frame_checksum(swapped), digest);
+
+  // So does length: a trailing zero byte is not absorbed.
+  auto longer = pattern;
+  longer.push_back(std::byte{0});
+  EXPECT_NE(frame_checksum(longer), digest);
+}
+
+TEST(Frame, TrackedFrameMatchesEncodingTheSerializedBody) {
+  PayloadArena arena;
+  std::vector<Submessage> subs;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    std::vector<std::byte> payload(i * 37);
+    for (std::size_t b = 0; b < payload.size(); ++b) payload[b] = static_cast<std::byte>(b + i);
+    Submessage s{static_cast<Rank>(i), static_cast<Rank>(7 - i), arena.add(payload),
+                 static_cast<std::uint32_t>(payload.size())};
+    s.id = 100 + i;
+    subs.push_back(s);
+  }
+  FrameHeader h;
+  h.kind = FrameKind::kData;
+  h.stage = 1;
+  h.epoch = 3;
+  h.member_epoch = 2;
+  h.seq = 44;
+  h.sender = 5;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, subs.size()}) {
+    const std::span<const Submessage> part(subs.data(), n);
+    const auto wire = encode_tracked_frame(h, part, arena);
+    EXPECT_EQ(wire, encode_frame(h, serialize_tracked(part, arena))) << n << " submessages";
+    EXPECT_EQ(wire.capacity(), wire.size()) << "one buffer of exactly the frame's size";
+    ASSERT_TRUE(decode_frame(wire).has_value());
+  }
 }
 
 TEST(PayloadArenaTest, ViewsRemainValidAcrossAdds) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <random>
 #include <vector>
@@ -97,6 +98,57 @@ TEST(WireFuzz, EveryTruncationPrefixIsRejected) {
   auto padded = wire;
   padded.push_back(std::byte{0});
   EXPECT_FALSE(decode_frame(padded).has_value());
+}
+
+TEST(WireFuzz, LargeFrameMutationsAreRejected) {
+  // Bodies long enough for every path of the checksum: 4099 = 128 32-byte
+  // stripes through the four lanes + a 3-byte tail; 4127 = the same stripes
+  // + three 8-byte tail words + a 4-byte word + a 3-byte tail.
+  std::mt19937_64 rng(4099);
+  const FrameHeader h = random_header(rng);
+  for (const std::size_t body_len : {std::size_t{4099}, std::size_t{4127}}) {
+    std::vector<std::byte> body(body_len);
+    std::uniform_int_distribution<int> byte_dist(0, 255);
+    for (std::byte& b : body) b = static_cast<std::byte>(byte_dist(rng));
+    const auto wire = encode_frame(h, body);
+    ASSERT_TRUE(decode_frame(wire).has_value());
+
+    auto mutated = wire;
+    for (std::size_t pos = 0; pos < wire.size(); ++pos) {
+      for (const int delta : {0x01, 0x80, 0x5a, 0xff}) {
+        mutated[pos] = wire[pos] ^ static_cast<std::byte>(delta);
+        EXPECT_FALSE(decode_frame(mutated).has_value())
+            << body_len << "-byte body: xor " << delta << " at byte " << pos << " accepted";
+      }
+      mutated[pos] = wire[pos];
+    }
+
+    // Every bit of the bytes on either side of each 8-byte word boundary of
+    // the body, where a lane or word load could be misaligned by one.
+    for (std::size_t off = 8; off < body_len; off += 8) {
+      for (const std::size_t pos : {kFrameOverheadBytes + off - 1, kFrameOverheadBytes + off}) {
+        for (int bit = 0; bit < 8; ++bit) {
+          mutated[pos] = wire[pos] ^ static_cast<std::byte>(1 << bit);
+          EXPECT_FALSE(decode_frame(mutated).has_value())
+              << body_len << "-byte body: bit " << bit << " at byte " << pos << " accepted";
+          mutated[pos] = wire[pos];
+        }
+      }
+    }
+
+    // Truncation at every 8-byte (and so every 32-byte) boundary of the body,
+    // both as a bare prefix and with body_len patched to agree, so the
+    // checksum rather than the length check has to catch it.
+    for (std::size_t kept = 0; kept < body_len; kept += 8) {
+      std::vector<std::byte> prefix(
+          wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(kFrameOverheadBytes + kept));
+      EXPECT_FALSE(decode_frame(prefix).has_value()) << kept << "-byte body prefix accepted";
+      const auto claimed = static_cast<std::uint32_t>(kept);
+      std::memcpy(prefix.data() + 24, &claimed, sizeof(claimed));  // body_len at offset 24
+      EXPECT_FALSE(decode_frame(prefix).has_value())
+          << kept << "-byte body prefix with a matching body_len accepted";
+    }
+  }
 }
 
 TEST(WireFuzz, RandomGarbageNeverCrashesFrameDecode) {
